@@ -62,6 +62,14 @@ class MHSampler(EdgeSampler):
         self.manager = SamplerManager(self.model.num_states(self.g), self.budget)
         self._prepared = True
 
+    def fork(self) -> "MHSampler":
+        """Per-task copy with its own uninitialized LAST_x store; the
+        driver's ``prepare()`` already charged the store's bytes."""
+        twin = super().fork()
+        if self.manager is not None:
+            twin.manager = SamplerManager(self.manager.num_states)
+        return twin
+
     # ------------------------------------------------------------------
     def _accept(
         self, w_cand: np.ndarray, w_last: np.ndarray, u: np.ndarray

@@ -29,43 +29,36 @@ from repro.samplers.base import (
     MemoryBudgetExceeded,
     REAL_ENTRY_CAP,
 )
-from repro.samplers.segment import ragged_arange, segment_ids
+from repro.samplers.segment import inverse_cdf, ragged_arange, segment_ids
 
 
 def _enumerate_states(g: CSRGraph, model):
     """Per-state metadata for full table materialization.
 
-    Returns ``(state_ids, cur, prev, prev_eidx, req_type, ent_lens)``
-    where entry ``i`` describes state ``state_ids[i]`` whose
-    distribution ranges over the ``ent_lens[i]`` neighbors of
-    ``cur[i]``.
+    Returns ``(cur, prev, prev_eidx, req_type, ent_lens)`` where entry
+    ``i`` describes state ``i``, whose distribution ranges over the
+    ``ent_lens[i]`` neighbors of ``cur[i]``.
     """
     if model.order == 2:
         # One state per directed edge (s -> v); distribution over N(v).
-        states = np.arange(g.m, dtype=np.int64)
         cur = g.indices.astype(np.int64)
         prev = g.src
-        prev_eidx = states
+        prev_eidx = np.arange(g.m, dtype=np.int64)
         req = None
-        lens = g.degree(cur)
-    elif isinstance(model, MetaPath2Vec):
-        # One state per (node, required type).
-        T = g.n_types
-        states = np.arange(g.n * T, dtype=np.int64)
-        cur = states // T
-        req = (states % T).astype(np.int16)
-        prev = np.full_like(cur, -1)
-        prev_eidx = np.full_like(cur, -1)
-        lens = g.degree(cur)
     else:
-        # One state per node (deepwalk).
-        states = np.arange(g.n, dtype=np.int64)
-        cur = states
+        if isinstance(model, MetaPath2Vec):
+            # One state per (node, required type).
+            T = g.n_types
+            states = np.arange(g.n * T, dtype=np.int64)
+            cur = states // T
+            req = (states % T).astype(np.int16)
+        else:
+            # One state per node (deepwalk).
+            cur = np.arange(g.n, dtype=np.int64)
+            req = None
         prev = np.full_like(cur, -1)
         prev_eidx = np.full_like(cur, -1)
-        req = None
-        lens = g.degree(cur)
-    return states, cur, prev, prev_eidx, req, lens
+    return cur, prev, prev_eidx, req, g.degree(cur)
 
 
 class TableSampler(EdgeSampler):
@@ -74,50 +67,52 @@ class TableSampler(EdgeSampler):
     name = "alias"
 
     def prepare(self) -> None:
-        g, model = self.g, self.model
-        states, cur, prev, prev_eidx, req, lens = _enumerate_states(g, model)
-        total = int(lens.sum())
+        cur, prev, prev_eidx, req, lens = _enumerate_states(self.g, self.model)
         # Simulated-budget charge first (this is what reproduces the
         # paper's OOM cells), then the real-allocation guardrail.
-        self.budget.charge("alias_tables", BYTES_TABLE_ENTRY * total)
+        self.budget.charge("alias_tables", BYTES_TABLE_ENTRY * int(lens.sum()))
+        self._build(cur, prev, prev_eidx, req, lens)
+
+    def _build(self, cur, prev, prev_eidx, req, lens) -> None:
+        """One table per state ``i``: the dynamic-weight distribution of
+        a walker at ``(cur[i], prev[i], prev_eidx[i], req[i])`` over the
+        ``lens[i]`` neighbors of ``cur[i]``."""
+        g = self.g
+        total = int(lens.sum())
         if total > REAL_ENTRY_CAP:
             raise MemoryBudgetExceeded(
-                f"alias tables need {total:.2e} real entries > cap {REAL_ENTRY_CAP:.0e}"
+                f"{self.name} tables need {total:.2e} real entries "
+                f"> cap {REAL_ENTRY_CAP:.0e}"
             )
-
         sid = segment_ids(lens)
-        within = ragged_arange(lens)
-        cand_eidx = g.indptr[cur][sid] + within
+        cand_eidx = g.indptr[cur][sid] + ragged_arange(lens)
         wk_flat = WalkerBatch(
             cur=cur[sid],
             prev=prev[sid],
             prev_eidx=prev_eidx[sid],
             req_type=None if req is None else req[sid],
         )
-        w = model.dyn_weight(g, wk_flat, cand_eidx)
+        w = self.model.dyn_weight(g, wk_flat, cand_eidx)
         # Global running cumsum over all per-state segments; per-state
         # windows are recovered from offsets, so one searchsorted serves
         # every query.
         self._cum = np.concatenate([[0.0], np.cumsum(w, dtype=np.float64)])
-        offs = np.zeros(states.shape[0] + 1, dtype=np.int64)
+        offs = np.zeros(lens.shape[0] + 1, dtype=np.int64)
         np.cumsum(lens, out=offs[1:])
         self._offs = offs
         self._prepared = True
 
+    def _draw(self, wk: WalkerBatch, table: np.ndarray) -> np.ndarray:
+        """One edge slot per walker from its table ``table[i]``."""
+        lo = self._offs[table]
+        hi = self._offs[table + 1]
+        pos = inverse_cdf(self._cum, lo, hi, self.rng.random(len(wk)))
+        return np.where(pos >= 0, self.g.indptr[wk.cur] + (pos - lo), -1)
+
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         if not self._prepared:
             self.prepare()
-        g = self.g
-        state = self.model.state_index(g, wk)
-        lo = self._offs[state]
-        hi = self._offs[state + 1]
-        base = self._cum[lo]
-        totals = self._cum[hi] - base
-        target = base + self.rng.random(len(wk)) * totals
-        pos = np.searchsorted(self._cum, target, side="right") - 1
-        pos = np.clip(pos, lo, np.maximum(hi - 1, lo))
-        within = pos - lo
-        eidx = g.indptr[wk.cur] + within
+        out = self._draw(wk, self.model.state_index(self.g, wk))
         self.stats["proposals"] += len(wk)
         self.stats["accepts"] += len(wk)
-        return np.where(totals > 1e-300, eidx, -1)
+        return out

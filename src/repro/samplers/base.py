@@ -4,7 +4,9 @@ All samplers share one vectorized contract: ``prepare()`` does the
 upfront work (table building, state allocation — the ``T_i`` column of
 Table VI), then each ``sample(wk)`` call advances a batch of walkers by
 one edge, returning the chosen **global CSR edge slot** per walker
-(``-1`` for walkers with no valid move).
+(``-1`` for walkers with no valid move). Every uniform a sampler uses
+comes from its own ``self.rng``, which ``reseed`` swaps; ``fork()``
+gives each Spark task a copy with its own mutable state.
 
 Memory accounting is *paper-normalized* (DESIGN.md §3): samplers charge
 their table bytes at the paper's per-entry costs against a budget
@@ -14,12 +16,14 @@ same arithmetic, without really exhausting container RAM.
 """
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
+from repro.samplers.segment import inverse_cdf
 
 # Paper-normalized per-entry byte costs.
 BYTES_TABLE_ENTRY = 12  # alias table entry: prob (f8) + alias (i4)
@@ -78,9 +82,16 @@ class EdgeSampler:
         self._prepared = True
 
     def reseed(self, rng: np.random.Generator) -> None:
-        """Swap the random stream (per-partition seeding in the engine).
-        Subclasses holding nested samplers must propagate."""
+        """Swap the random stream (per-batch seeding in the engine)."""
         self.rng = rng
+
+    def fork(self) -> "EdgeSampler":
+        """A copy for one Spark task. It shares the read-only prepared
+        arrays (graph, tables, cumsums) and starts with fresh ``stats``;
+        subclasses with more per-task state renew it too."""
+        twin = copy.copy(self)
+        twin.stats = {"proposals": 0, "accepts": 0}
+        return twin
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         """Advance each walker one edge; returns global edge slots."""
@@ -92,34 +103,37 @@ class EdgeSampler:
         return float(self.stats.get("accepts", 0)) / p if p else 1.0
 
 
+def static_cum(g: CSRGraph) -> np.ndarray:
+    """Global prefix sums of the static weights, ``float64[m + 1]``."""
+    return np.concatenate([[0.0], np.cumsum(g.weights, dtype=np.float64)])
+
+
+def static_choice(
+    g: CSRGraph, wcum: np.ndarray, cur: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """One neighbor edge slot per node in ``cur`` ∝ static weight, from
+    the uniforms ``u`` (``wcum`` is :func:`static_cum` of ``g``)."""
+    return inverse_cdf(wcum, g.indptr[cur], g.indptr[cur + 1], u)
+
+
 class StaticSampler(EdgeSampler):
     """Exact sampling proportional to **static** edge weights.
 
-    O(log d) per draw via one global weight-prefix array. Serves as:
-    the first step of second-order models (the original node2vec draws
-    its first edge from the static distribution), the proposal draw of
-    the rejection-family samplers, and the alias-equivalent first-order
-    sampler of KnightKing (charged at alias memory cost by callers).
+    O(log d) per draw via one global weight-prefix array. Serves as the
+    proposal draw of the rejection-family samplers, which subclass it,
+    and as the alias-equivalent first-order sampler of KnightKing
+    (charged at alias memory cost by those subclasses).
     """
 
     name = "static"
 
     def prepare(self) -> None:
-        self.wcum = np.concatenate(
-            [[0.0], np.cumsum(self.g.weights, dtype=np.float64)]
-        )
+        self.wcum = static_cum(self.g)
         self._prepared = True
 
     def sample_nodes(self, cur: np.ndarray) -> np.ndarray:
         """Draw one neighbor edge slot per node in ``cur`` ∝ static w."""
-        g = self.g
-        lo = g.indptr[cur]
-        hi = g.indptr[cur + 1]
-        base = self.wcum[lo]
-        totals = self.wcum[hi] - base
-        target = base + self.rng.random(cur.shape[0]) * totals
-        pos = np.searchsorted(self.wcum, target, side="right") - 1
-        return np.clip(pos, lo, np.maximum(hi - 1, lo))
+        return static_choice(self.g, self.wcum, cur, self.rng.random(cur.shape[0]))
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         return self.sample_nodes(wk.cur)

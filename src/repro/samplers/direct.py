@@ -10,23 +10,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.abstraction import WalkerBatch
+from repro.core.abstraction import RandomWalkModel, WalkerBatch
+from repro.graph.csr import CSRGraph
 from repro.samplers.base import EdgeSampler
 from repro.samplers.segment import ragged_arange, segment_ids, segmented_choice
+
+
+def direct_choice(
+    g: CSRGraph, model: RandomWalkModel, wk: WalkerBatch, u: np.ndarray
+) -> np.ndarray:
+    """One edge slot per walker ∝ its dynamic weights over all of the
+    current node's neighbors, from the uniforms ``u``; ``-1`` where every
+    neighbor has zero weight."""
+    lens = g.degree(wk.cur)
+    sid = segment_ids(lens)
+    cand_eidx = g.indptr[wk.cur][sid] + ragged_arange(lens)
+    w = model.dyn_weight(g, wk.take(sid), cand_eidx)
+    off = segmented_choice(w, lens, u)
+    return np.where(off >= 0, g.indptr[wk.cur] + off, -1)
 
 
 class DirectSampler(EdgeSampler):
     name = "direct"
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
-        g = self.g
-        lens = g.degree(wk.cur)
-        sid = segment_ids(lens)
-        within = ragged_arange(lens)
-        cand_eidx = g.indptr[wk.cur][sid] + within
-        wk_flat = wk.take(sid)
-        w = self.model.dyn_weight(g, wk_flat, cand_eidx)
-        off = segmented_choice(w, lens, self.rng.random(len(wk)))
+        out = direct_choice(self.g, self.model, wk, self.rng.random(len(wk)))
         self.stats["proposals"] += len(wk)
         self.stats["accepts"] += len(wk)
-        return np.where(off >= 0, g.indptr[wk.cur] + off, -1)
+        return out

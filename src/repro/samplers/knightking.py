@@ -27,17 +27,16 @@ from repro.core.abstraction import RandomWalkModel, WalkerBatch, node2vec_alpha
 from repro.graph.csr import CSRGraph
 from repro.models.metapath2vec import MetaPath2Vec
 from repro.models.node2vec import Node2Vec
-from repro.samplers.base import (
-    BYTES_STATIC_ALIAS_PER_EDGE,
-    EdgeSampler,
-    MemoryBudget,
-    StaticSampler,
-)
+from repro.samplers.base import MemoryBudget
 from repro.samplers.rejection import RejectionSampler, _MAX_ROUNDS
 
 
-class KnightKingSampler(EdgeSampler):
+class KnightKingSampler(RejectionSampler):
+    """Static (alias) draws and rejection, with node2vec outlier folding."""
+
     name = "knightking"
+    #: Proposal / first-order draws are alias-backed in KnightKing.
+    ledger_item = "knightking_alias"
 
     def __init__(
         self,
@@ -47,37 +46,18 @@ class KnightKingSampler(EdgeSampler):
         budget: Optional[MemoryBudget] = None,
     ):
         super().__init__(g, model, rng, budget)
-        self._static = StaticSampler(g, model, rng)
         if isinstance(model, Node2Vec):
             self._mode = "fold"
         elif model.order == 2:
             self._mode = "reject"
-            self._rej = RejectionSampler(g, model, rng, MemoryBudget(None))
         else:
             self._mode = "first_order"
-
-    def reseed(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self._static.rng = rng
-        if self._mode == "reject":
-            self._rej.reseed(rng)
-
-    def prepare(self) -> None:
-        # Proposal / first-order draws are alias-backed in KnightKing.
-        self.budget.charge(
-            "knightking_alias", BYTES_STATIC_ALIAS_PER_EDGE * self.g.m
-        )
-        self._static.prepare()
-        if self._mode == "reject":
-            self._rej._static = self._static
-            self._rej._prepared = True
-        self._prepared = True
 
     # ------------------------------------------------------------------
     def _sample_first_order(self, wk: WalkerBatch) -> np.ndarray:
         g = self.g
         if not isinstance(self.model, MetaPath2Vec):
-            eidx = self._static.sample_nodes(wk.cur)
+            eidx = self.sample_nodes(wk.cur)
             self.stats["proposals"] += len(wk)
             self.stats["accepts"] += len(wk)
             return eidx
@@ -86,7 +66,7 @@ class KnightKingSampler(EdgeSampler):
         pending = np.arange(len(wk))
         for _ in range(_MAX_ROUNDS):
             sub = wk.take(pending)
-            eidx = self._static.sample_nodes(sub.cur)
+            eidx = self.sample_nodes(sub.cur)
             acc = g.node_type[g.indices[eidx]] == sub.req_type
             self.stats["proposals"] += int(pending.shape[0])
             self.stats["accepts"] += int(acc.sum())
@@ -121,7 +101,7 @@ class KnightKingSampler(EdgeSampler):
             # fold branch is pre-accepted (its mass is exact), the
             # general branch is rejection-tested under the tight bound.
             fold = self.rng.random(k) < fold_p[pending]
-            eidx = self._static.sample_nodes(sub.cur)
+            eidx = self.sample_nodes(sub.cur)
             cand = g.indices[eidx].astype(np.int64)
             alpha = np.minimum(node2vec_alpha(g, sub.prev, cand, m.p, m.q), b)
             acc = self.rng.random(k) < alpha / b
@@ -141,8 +121,4 @@ class KnightKingSampler(EdgeSampler):
             return self._sample_first_order(wk)
         if self._mode == "fold":
             return self._sample_node2vec_folded(wk)
-        out = self._rej.sample(wk)
-        self.stats["proposals"] += self._rej.stats["proposals"]
-        self.stats["accepts"] += self._rej.stats["accepts"]
-        self._rej.stats = {"proposals": 0, "accepts": 0}
-        return out
+        return super().sample(wk)

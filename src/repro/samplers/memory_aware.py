@@ -15,18 +15,14 @@ import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
-from repro.samplers.base import (
-    BYTES_TABLE_ENTRY,
-    EdgeSampler,
-    MemoryBudget,
-    REAL_ENTRY_CAP,
-    MemoryBudgetExceeded,
-)
-from repro.samplers.direct import DirectSampler
-from repro.samplers.segment import ragged_arange, segment_ids
+from repro.samplers.alias import TableSampler
+from repro.samplers.base import BYTES_TABLE_ENTRY, MemoryBudget
+from repro.samplers.direct import direct_choice
 
 
-class MemoryAwareSampler(EdgeSampler):
+class MemoryAwareSampler(TableSampler):
+    """Alias tables for the states the budget covers, direct otherwise."""
+
     name = "memory_aware"
 
     def __init__(
@@ -45,15 +41,10 @@ class MemoryAwareSampler(EdgeSampler):
         self.table_budget = (
             table_budget_bytes if table_budget_bytes is not None else 4.0 * g.m
         )
-        self._direct = DirectSampler(g, model, rng)
-
-    def reseed(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self._direct.rng = rng
 
     # ------------------------------------------------------------------
     def prepare(self) -> None:
-        g, model = self.g, self.model
+        g = self.g
         # State = directed edge (s -> v); distribution over N(v).
         dst = g.indices.astype(np.int64)
         lens_all = g.degree(dst)
@@ -69,41 +60,10 @@ class MemoryAwareSampler(EdgeSampler):
 
         self._table_id = np.full(g.m, -1, dtype=np.int64)
         self._table_id[assigned] = np.arange(k)
-        lens = lens_all[assigned]
-        total = int(lens.sum())
-        if total > REAL_ENTRY_CAP:
-            raise MemoryBudgetExceeded(
-                f"memory-aware tables need {total:.2e} real entries"
-            )
-        sid = segment_ids(lens)
-        cur = dst[assigned]
-        wk_flat = WalkerBatch(
-            cur=cur[sid],
-            prev=g.src[assigned][sid],
-            prev_eidx=assigned[sid],
-            req_type=None,
-        )
-        cand_eidx = g.indptr[cur][sid] + ragged_arange(lens)
-        w = model.dyn_weight(g, wk_flat, cand_eidx)
-        self._cum = np.concatenate([[0.0], np.cumsum(w, dtype=np.float64)])
-        offs = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(lens, out=offs[1:])
-        self._offs = offs
         self.assigned_states = k
-        self._prepared = True
+        self._build(dst[assigned], g.src[assigned], assigned, None, lens_all[assigned])
 
     # ------------------------------------------------------------------
-    def _sample_tabled(self, wk: WalkerBatch, tid: np.ndarray) -> np.ndarray:
-        g = self.g
-        lo = self._offs[tid]
-        hi = self._offs[tid + 1]
-        base = self._cum[lo]
-        totals = self._cum[hi] - base
-        target = base + self.rng.random(len(wk)) * totals
-        pos = np.searchsorted(self._cum, target, side="right") - 1
-        pos = np.clip(pos, lo, np.maximum(hi - 1, lo))
-        return np.where(totals > 1e-300, g.indptr[wk.cur] + (pos - lo), -1)
-
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         if not self._prepared:
             self.prepare()
@@ -112,10 +72,12 @@ class MemoryAwareSampler(EdgeSampler):
         hit = tid >= 0
         out = np.full(len(wk), -1, dtype=np.int64)
         if hit.any():
-            out[hit] = self._sample_tabled(wk.take(hit), tid[hit])
+            out[hit] = self._draw(wk.take(hit), tid[hit])
         miss = ~hit
         if miss.any():
-            out[miss] = self._direct.sample(wk.take(miss))
+            sub = wk.take(miss)
+            u = self.rng.random(len(sub))
+            out[miss] = direct_choice(self.g, self.model, sub, u)
         self.stats["proposals"] += len(wk)
         self.stats["accepts"] += len(wk)
         self.stats["table_hits"] = self.stats.get("table_hits", 0) + int(hit.sum())

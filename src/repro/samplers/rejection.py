@@ -19,7 +19,6 @@ from repro.graph.csr import CSRGraph
 from repro.models.edge2vec import Edge2Vec
 from repro.samplers.base import (
     BYTES_STATIC_ALIAS_PER_EDGE,
-    EdgeSampler,
     MemoryBudget,
     StaticSampler,
 )
@@ -41,8 +40,12 @@ def proposal_bound(g: CSRGraph, model: RandomWalkModel) -> float:
     return float(b)
 
 
-class RejectionSampler(EdgeSampler):
+class RejectionSampler(StaticSampler):
+    """Rejection over the inherited static draw (the proposal)."""
+
     name = "rejection"
+    #: Ledger item of the proposal's alias table.
+    ledger_item = "rejection_proposal_alias"
 
     def __init__(
         self,
@@ -52,21 +55,13 @@ class RejectionSampler(EdgeSampler):
         budget: Optional[MemoryBudget] = None,
     ):
         super().__init__(g, model, rng, budget)
-        self._static = StaticSampler(g, model, rng)
         self._bound = proposal_bound(g, model)
-
-    def reseed(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self._static.rng = rng
 
     def prepare(self) -> None:
         # The proposal is "simple" but still alias-sampled for speed
         # (paper §V-D) — charge the 1st-order alias table bytes.
-        self.budget.charge(
-            "rejection_proposal_alias", BYTES_STATIC_ALIAS_PER_EDGE * self.g.m
-        )
-        self._static.prepare()
-        self._prepared = True
+        self.budget.charge(self.ledger_item, BYTES_STATIC_ALIAS_PER_EDGE * self.g.m)
+        super().prepare()
 
     def sample(self, wk: WalkerBatch) -> np.ndarray:
         if not self._prepared:
@@ -76,7 +71,7 @@ class RejectionSampler(EdgeSampler):
         pending = np.arange(len(wk))
         for _ in range(_MAX_ROUNDS):
             sub = wk.take(pending)
-            eidx = self._static.sample_nodes(sub.cur)
+            eidx = self.sample_nodes(sub.cur)
             wdyn = self.model.dyn_weight(g, sub, eidx)
             acc_p = wdyn / (self._bound * g.weights[eidx])
             acc = self.rng.random(pending.shape[0]) < acc_p

@@ -26,24 +26,36 @@ def segment_ids(lens: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(lens.shape[0], dtype=np.int64), lens)
 
 
+def inverse_cdf(
+    cum: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Segmented inverse-CDF draw over one global prefix-sum array.
+
+    ``cum`` is ``[0, w0, w0+w1, ...]`` over all entries; for each window
+    ``[lo[i], hi[i])`` return the global position ``j`` drawn with
+    probability ``w_j / Σ window`` from the uniform ``u[i]``, or ``-1``
+    where the window's total is ~0 (no valid entry). One global
+    ``searchsorted`` serves every window.
+    """
+    base = cum[lo]
+    totals = cum[hi] - base
+    pos = np.searchsorted(cum, base + u * totals, side="right") - 1
+    pos = np.clip(pos, lo, np.maximum(hi - 1, lo))
+    return np.where(totals > 1e-300, pos, -1)
+
+
 def segmented_choice(
     weights: np.ndarray, lens: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
     """Weighted within-segment choice: for each segment ``i`` draw an
     offset in ``[0, lens[i])`` with probability proportional to its
     weight, using uniforms ``u[i]``. Returns ``-1`` for segments whose
-    total weight is ~0 (no valid candidate).
-
-    One global ``cumsum`` + one global ``searchsorted`` — the inverse-CDF
-    scan of the paper's *direct* edge sampler, vectorized.
+    total weight is ~0 (no valid candidate) — the inverse-CDF scan of
+    the paper's *direct* edge sampler, vectorized.
     """
     lens = np.asarray(lens, dtype=np.int64)
-    cs = np.concatenate([[0.0], np.cumsum(weights, dtype=np.float64)])
+    cum = np.concatenate([[0.0], np.cumsum(weights, dtype=np.float64)])
     ends = np.cumsum(lens)
     starts = ends - lens
-    base = cs[starts]
-    totals = cs[ends] - base
-    target = base + u * totals
-    pos = np.searchsorted(cs, target, side="right") - 1
-    off = np.clip(pos - starts, 0, np.maximum(lens - 1, 0))
-    return np.where(totals > 1e-300, off, -1)
+    pos = inverse_cdf(cum, starts, ends, u)
+    return np.where(pos >= 0, pos - starts, -1)

@@ -4,8 +4,10 @@ UniNet parallelizes walk generation by assigning independent walkers to
 threads (§IV-A); the distributed-dataflow translation assigns them to
 Spark partitions. The walker population (start node × walk number) is a
 DataFrame; ``mapInPandas`` runs the vectorized kernel per partition
-against a **broadcast** read-only graph + prepared sampler. Sampler
-manager state (``LAST_x``) is partition-local (DESIGN.md §6).
+against a **broadcast** read-only graph + prepared sampler. Each task
+walks with its own ``fork()`` of the sampler, so sampler manager state
+(``LAST_x``) and ``stats`` are task-local (DESIGN.md §7) even when a
+Python worker runs many tasks.
 
 Samplers with expensive ``prepare()`` (alias tables) are prepared once
 on the driver and shipped via the broadcast, mirroring UniNet's threads
@@ -13,7 +15,6 @@ sharing one table set.
 """
 from __future__ import annotations
 
-import copy
 from typing import Optional
 
 import numpy as np
@@ -75,9 +76,9 @@ def generate_walks(
 
     def run(batches):
         gb, mb, sb, st = bc.value
-        # Per-worker private copy of mutable sampler state; read-only
-        # tables are shared via the broadcast arrays.
-        samp = copy.copy(sb)
+        # Per-task mutable sampler state; read-only tables are shared
+        # via the broadcast arrays.
+        samp = sb.fork()
         for pdf in batches:
             ids = pdf["id"].to_numpy(np.int64)
             if ids.shape[0] == 0:

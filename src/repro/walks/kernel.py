@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.abstraction import RandomWalkModel, WalkerBatch
 from repro.graph.csr import CSRGraph
-from repro.samplers.base import EdgeSampler, StaticSampler
+from repro.samplers.base import EdgeSampler, static_choice, static_cum
 
 
 def simulate_walks(
@@ -47,9 +47,8 @@ def simulate_walks(
 
     # First step of second-order models draws from the static
     # distribution (there is no previous edge yet) — the original
-    # node2vec behaviour.
-    static = StaticSampler(g, model, rng)
-    static.prepare()
+    # node2vec behaviour — with uniforms from ``rng``.
+    wcum = static_cum(g) if model.order == 2 else None
 
     for t in range(1, walk_length + 1):
         idx = np.where(alive)[0]
@@ -68,7 +67,7 @@ def simulate_walks(
             wk = wk.take(~stuck)
 
         if model.order == 2 and t == 1:
-            eidx = static.sample_nodes(wk.cur)
+            eidx = static_choice(g, wcum, wk.cur, rng.random(len(wk)))
         else:
             eidx = sampler.sample(wk)
 

@@ -1,4 +1,6 @@
 """Distributed walk engine (mapInPandas over broadcast graph)."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -155,3 +157,44 @@ def test_engine_prepared_sampler_reused(spark, g):
         spark, g, model, num_walks=1, walk_length=5, prepared=s, seed=6
     )
     assert walks.count() == g.n
+
+
+def corpus_digest(walks) -> str:
+    """Order-free digest of a corpus: its rows sorted by ``walk_id``."""
+    pdf = walks.toPandas().sort_values("walk_id")
+    h = hashlib.sha256()
+    for wid, wlk in zip(pdf["walk_id"], pdf["walk"]):
+        h.update(np.asarray([wid, *wlk], dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def test_engine_corpus_deterministic_with_more_partitions_than_cores(spark, g):
+    """With more tasks than cores, Python workers are reused across
+    tasks; each task must still walk with its own LAST_x store, so the
+    same seed gives the same corpus whatever the task scheduling."""
+    model = make_model("node2vec", p=0.25, q=4.0)
+    parts = 8 * spark.sparkContext.defaultParallelism
+    digests = {
+        corpus_digest(generate_walks(
+            spark, g, model, num_walks=4, walk_length=20, sampler="mh",
+            seed=8, num_partitions=parts,
+        ))
+        for _ in range(3)
+    }
+    assert len(digests) == 1
+
+
+def test_fork_shares_read_only_arrays_not_state(g):
+    """``fork()`` (one per Spark task) shares the prepared arrays but
+    not LAST_x or the stats."""
+    from repro.samplers import make_sampler
+
+    s = make_sampler("mh", g, make_model("node2vec"), np.random.default_rng(0))
+    s.prepare()
+    f = s.fork()
+    assert f.g is s.g and f.g.indptr is s.g.indptr and f.budget is s.budget
+    assert f.manager.last_slot is not s.manager.last_slot
+    assert (f.manager.last_slot == -1).all() and f.stats is not s.stats
+    t = make_sampler("alias", g, make_model("node2vec"), np.random.default_rng(0))
+    t.prepare()
+    assert t.fork()._cum is t._cum and t.fork().stats is not t.stats

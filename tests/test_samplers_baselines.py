@@ -4,9 +4,10 @@ static)."""
 import numpy as np
 import pytest
 
+from repro.core.abstraction import WalkerBatch
 from repro.core.theory import exact_transition, tv_distance
 from repro.models import make_model
-from repro.samplers import make_sampler
+from repro.samplers import SAMPLER_NAMES, make_sampler
 from repro.samplers.base import (
     MemoryBudget,
     MemoryBudgetExceeded,
@@ -237,13 +238,21 @@ def test_sampler_registry_unknown(g):
         make_sampler("bogus", g, make_model("deepwalk"), np.random.default_rng(0))
 
 
-def test_reseed_propagates_to_nested(g):
-    for name in ["rejection", "knightking", "memory_aware"]:
-        model = make_model("node2vec")
-        s = make_sampler(name, g, model, np.random.default_rng(0))
-        rng = np.random.default_rng(42)
-        s.reseed(rng)
-        assert s.rng is rng
-        for attr in ["_static", "_direct"]:
-            if hasattr(s, attr):
-                assert getattr(s, attr).rng is rng
+def test_reseed_fixes_every_draw(g):
+    """Every uniform a sampler uses comes from the stream ``reseed``
+    installs: equal seeds give equal draws, different seeds differ."""
+    cur = np.repeat(np.where(g.degrees > 0)[0], 3)
+    prev = g.indices[g.indptr[cur]].astype(np.int64)
+    wk = WalkerBatch(cur=cur, prev=prev, prev_eidx=g.edge_index(prev, cur))
+    for name in SAMPLER_NAMES:
+        s = make_sampler(name, g, make_model("node2vec", p=0.25, q=4.0),
+                         np.random.default_rng(0))
+        s.prepare()
+
+        def draws(seed):
+            f = s.fork()  # fresh LAST_x, so M-H starts from the same state
+            f.reseed(np.random.default_rng(seed))
+            return f.sample(wk)
+
+        assert (draws(42) == draws(42)).all(), name
+        assert (draws(42) != draws(43)).any(), name
